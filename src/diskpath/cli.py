@@ -105,6 +105,7 @@ def _json_report(report, req):
         "m": stats["m"],
         "delta": stats["delta"],
         "width": stats["width"],
+        "certified": stats["certified"],
     }
     if report.witness is not None:
         doc["witness"] = report.witness

@@ -86,69 +86,86 @@ def _adj_copy(graph):
     return {v: set(graph.adj[v]) for v in graph.vertices}
 
 
-def min_degree_order(graph):
-    """Elimination order greedily taking a minimum-degree vertex (then id)."""
-    adj = _adj_copy(graph)
-    heap = [(len(nb), v) for v, nb in adj.items()]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        d, v = heapq.heappop(heap)
-        if v not in adj or len(adj[v]) != d:
-            continue
-        order.append(v)
-        nb = sorted(adj.pop(v))
-        for a in nb:
-            adj[a].discard(v)
-        for i, a in enumerate(nb):
-            for b in nb[i + 1:]:
-                if b not in adj[a]:
-                    adj[a].add(b)
-                    adj[b].add(a)
-        for a in nb:
-            heapq.heappush(heap, (len(adj[a]), a))
-    return order
+def _eliminate_vertex(adj, v):
+    """Remove v and make its neighbourhood a clique; returns that
+    neighbourhood, v's later neighbours in the filled-in graph."""
+    nb = adj.pop(v)
+    for a in nb:
+        na = adj[a]
+        na.discard(v)
+        na |= nb
+        na.discard(a)
+    return nb
+
+
+def _degree(adj, v):
+    return len(adj[v])
 
 
 def _fill_count(adj, v):
-    nb = sorted(adj[v])
-    missing = 0
-    for i, a in enumerate(nb):
-        aset = adj[a]
-        for b in nb[i + 1:]:
-            if b not in aset:
-                missing += 1
-    return missing
+    """Fill edges that eliminating v would add: non-adjacent pairs in N(v)."""
+    nb = adj[v]
+    d = len(nb)
+    inside = sum(len(adj[a] & nb) for a in nb)
+    return (d * (d - 1) - inside) // 2
+
+
+def _eliminate(graph, key):
+    """Play the elimination game, greedily taking a vertex of least
+    key(adj, v), then least id.
+
+    Returns the order and, per position, the eliminated vertex's
+    neighbourhood at that moment.  Heap entries are lazy: a popped entry
+    whose key has changed is pushed back with the current key, which also
+    covers min-fill keys that drop when a vertex two steps away goes.
+    """
+    adj = _adj_copy(graph)
+    heap = [(key(adj, v), v) for v in adj]
+    heapq.heapify(heap)
+    order = []
+    later = []
+    while heap:
+        p, v = heapq.heappop(heap)
+        if v not in adj:
+            continue
+        actual = key(adj, v)
+        if actual != p:
+            heapq.heappush(heap, (actual, v))
+            continue
+        nb = _eliminate_vertex(adj, v)
+        order.append(v)
+        later.append(nb)
+        for a in nb:
+            heapq.heappush(heap, (key(adj, a), a))
+    return order, later
+
+
+def min_degree_order(graph):
+    """Elimination order greedily taking a minimum-degree vertex (then id)."""
+    return _eliminate(graph, _degree)[0]
 
 
 def min_fill_order(graph):
     """Elimination order greedily taking a vertex whose elimination adds the
-    fewest fill edges (then smallest id); lazy heap entries are recomputed
-    on pop and reinserted when stale."""
-    adj = _adj_copy(graph)
-    heap = [(_fill_count(adj, v), v) for v in adj]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        f, v = heapq.heappop(heap)
-        if v not in adj:
-            continue
-        actual = _fill_count(adj, v)
-        if actual != f:
-            heapq.heappush(heap, (actual, v))
-            continue
-        order.append(v)
-        nb = sorted(adj.pop(v))
-        for a in nb:
-            adj[a].discard(v)
-        for i, a in enumerate(nb):
-            for b in nb[i + 1:]:
-                if b not in adj[a]:
-                    adj[a].add(b)
-                    adj[b].add(a)
-        for a in nb:
-            heapq.heappush(heap, (_fill_count(adj, a), a))
-    return order
+    fewest fill edges (then smallest id)."""
+    return _eliminate(graph, _fill_count)[0]
+
+
+def _assemble(order, later):
+    """The decomposition recorded by an elimination game: bag p is order[p]
+    plus its later neighbours, hung off the earliest-eliminated of them (or
+    the next position, keeping the tree connected across components)."""
+    pos = {v: p for p, v in enumerate(order)}
+    last = len(order) - 1
+    bags = []
+    edges = []
+    for p, (v, nb) in enumerate(zip(order, later)):
+        bags.append(nb | {v})
+        if nb:
+            edges.append((p, min(pos[a] for a in nb)))
+        elif p < last:
+            edges.append((p, p + 1))
+    return TreeDecomposition(bags, edges)
 
 
 def decomposition_from_order(graph, order):
@@ -161,39 +178,27 @@ def decomposition_from_order(graph, order):
     """
     if sorted(order) != sorted(graph.vertices):
         raise ContractViolation("order must enumerate the vertices exactly")
-    pos = {v: p for p, v in enumerate(order)}
     adj = _adj_copy(graph)
-    bags = []
-    edges = []
-    for p, v in enumerate(order):
-        later = sorted(adj[v], key=pos.__getitem__)
-        bags.append(frozenset([v] + later))
-        for a in adj[v]:
-            adj[a].discard(v)
-        for i, a in enumerate(later):
-            for b in later[i + 1:]:
-                if b not in adj[a]:
-                    adj[a].add(b)
-                    adj[b].add(a)
-        if later:
-            edges.append((p, pos[later[0]]))
-        elif p + 1 < len(order):
-            edges.append((p, p + 1))
-    return TreeDecomposition(bags, edges)
+    return _assemble(order, [_eliminate_vertex(adj, v) for v in order])
 
 
 def heuristic_decomposition(graph):
     """The narrower of the min-degree and min-fill decompositions, validated.
 
-    Ties go to min-degree.  The result is an upper-bound construction: its
-    width is at least the true treewidth.
+    Ties go to min-degree, so min-fill is not played at all when the
+    min-degree width already meets the degeneracy, a treewidth lower bound.
+    The result is an upper-bound construction: its width is at least the
+    true treewidth.
     """
     if graph.n == 0:
         raise ContractViolation("graph is empty")
-    best = decomposition_from_order(graph, min_degree_order(graph))
-    other = decomposition_from_order(graph, min_fill_order(graph))
-    if other.width < best.width:
-        best = other
+    order, later = _eliminate(graph, _degree)
+    width = max(len(nb) for nb in later)
+    if width > _degeneracy(graph):
+        fill_order, fill_later = _eliminate(graph, _fill_count)
+        if max(len(nb) for nb in fill_later) < width:
+            order, later = fill_order, fill_later
+    best = _assemble(order, later)
     validate_decomposition(graph, best)
     return best
 
@@ -325,14 +330,7 @@ def treewidth_lower_bound(graph):
     the vertex into its smallest-degree neighbour (a minor), which can only
     raise the bound.
     """
-    best = 0
-    adj = _adj_copy(graph)
-    while adj:
-        v = min(adj, key=lambda u: (len(adj[u]), u))
-        best = max(best, len(adj[v]))
-        for a in adj.pop(v):
-            adj[a].discard(v)
-
+    best = _degeneracy(graph)
     adj = _adj_copy(graph)
     while adj:
         v = min(adj, key=lambda u: (len(adj[u]), u))
@@ -346,6 +344,26 @@ def treewidth_lower_bound(graph):
                 if a != target:
                     adj[target].add(a)
                     adj[a].add(target)
+    return best
+
+
+def _degeneracy(graph):
+    """The largest minimum degree met while deleting minimum-degree vertices
+    one by one; the value does not depend on how ties are broken."""
+    deg = {v: len(graph.adj[v]) for v in graph.vertices}
+    heap = [(d, v) for v, d in deg.items()]
+    heapq.heapify(heap)
+    best = 0
+    while heap:
+        d, v = heapq.heappop(heap)
+        if deg.get(v) != d:
+            continue
+        best = max(best, d)
+        del deg[v]
+        for a in graph.adj[v]:
+            if a in deg:
+                deg[a] -= 1
+                heapq.heappush(heap, (deg[a], a))
     return best
 
 

@@ -81,9 +81,10 @@ def run_marking(graph, rep, budgets=MarkingBudgets()):
     cell_of = rep.cell_of
     mark1_pairs = {}
     mark1_by_cell = {cell: set() for cell in occupied}
+    near = {cell: _near_cells(cell, occupied) for cell in occupied}
 
     for c1 in occupied:  # dict is sorted row-major at construction
-        for c2 in _near_cells(c1, occupied):
+        for c2 in near[c1]:
             if c2 < c1:
                 continue  # each unordered pair once
             cross = []
@@ -111,7 +112,7 @@ def run_marking(graph, rep, budgets=MarkingBudgets()):
     mark2_by_cell = {cell: set() for cell in occupied}
     for c1 in occupied:
         for v in sorted(mark1_by_cell[c1]):
-            for c2 in _near_cells(c1, occupied):
+            for c2 in near[c1]:
                 picked = 0
                 for w in graph.adj[v]:  # ascending ids
                     if cell_of[w] == c2:

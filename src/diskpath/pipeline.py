@@ -15,11 +15,13 @@ are cliques) are answered before the reduced graph is consulted.
 
 Scanning k over one disk set is the common calling pattern, and nothing
 past the target comparison depends on k: the geometry, marking, reduction,
-decomposition, width bound and the dynamic program are functions of the
-disks, the budgets and the engine alone.  A small keyed store therefore
-lets a sweep pay for each artifact once.  Stage timings are stored next to
-the artifact and repeated verbatim on reuse; they price the artifact, not
-the lookup.
+components, decompositions, width bound and the dynamic program are
+functions of the disks, the budgets and the engine alone.  A small keyed
+store therefore lets a sweep pay for each artifact once.  Decomposition is
+per component and on demand: a request decomposes only the components whose
+total weight can hold its target, and each decomposition is kept for later
+requests on the same disks.  Stage timings are stored next to the artifact
+and repeated verbatim on reuse; they price the artifact, not the lookup.
 """
 
 import time
@@ -83,7 +85,7 @@ class _Artifacts:
     """Products of one disk set that no request parameter can change."""
 
     __slots__ = ("graph", "rep", "marks", "reduced", "timings",
-                 "tw_bound", "parts", "parts_ms", "max_width", "dp")
+                 "tw_bound", "parts", "parts_ms", "max_size")
 
     def __init__(self, graph, rep, marks, reduced, timings):
         self.graph = graph
@@ -94,7 +96,21 @@ class _Artifacts:
         self.tw_bound = None
         self.parts = None
         self.parts_ms = 0.0
-        self.max_width = 0
+        self.max_size = 0
+
+
+class _Part:
+    """One component of the reduced graph; the subgraph, its decomposition
+    and the dynamic programs run on it are built on first use and kept."""
+
+    __slots__ = ("members", "total", "sub", "td", "ms", "dp")
+
+    def __init__(self, members, total):
+        self.members = members
+        self.total = total
+        self.sub = None
+        self.td = None
+        self.ms = 0.0
         self.dp = {}
 
 
@@ -158,25 +174,42 @@ def _subgraph(reduced, comp):
     return WeightedGraph(comp, weights, edges, aggregates, back_map)
 
 
-def _ensure_parts(art):
-    """Split the reduced graph and decompose each piece, narrowest first.
+def _split(art):
+    """The components of the reduced graph with their total weights.
+
+    Both are cheap and independent of k, so they are computed once per disk
+    set; the largest component size bounds every width from above.
+    """
+    if art.parts is None:
+        start = time.perf_counter()
+        weights = art.reduced.weights
+        art.parts = [_Part(comp, sum(weights[v] for v in comp))
+                     for comp in _components(art.reduced)]
+        art.max_size = max((len(p.members) for p in art.parts), default=0)
+        art.parts_ms = (time.perf_counter() - start) * 1000.0
+    return art.parts
+
+
+def _ensure_parts(art, k_eff):
+    """The components that can hold k_eff, decomposed, narrowest first.
 
     A long path or cycle lives inside one component, so the solver can
     take the components one at a time and stop at the first that clears
     the target; ordering by width tries the cheap dynamic programs first.
+    Decomposition is per component and on demand: a component is
+    decomposed the first time a request's target fits in its total weight,
+    and the result is kept for every later request on the same disks.
+    Returns the eligible parts and the ms their artifacts cost.
     """
-    if art.parts is not None:
-        return
-    start = time.perf_counter()
-    parts = []
-    for comp in _components(art.reduced):
-        sub = _subgraph(art.reduced, comp)
-        td = heuristic_decomposition(sub)
-        parts.append((td.width, comp[0], sub, td, sum(sub.weights.values())))
-    parts.sort(key=lambda p: (p[0], p[1]))
-    art.parts = parts
-    art.parts_ms = (time.perf_counter() - start) * 1000.0
-    art.max_width = max((p[0] for p in parts), default=0)
+    eligible = [p for p in _split(art) if p.total >= k_eff]
+    for part in eligible:
+        if part.td is None:
+            start = time.perf_counter()
+            part.sub = _subgraph(art.reduced, part.members)
+            part.td = heuristic_decomposition(part.sub)
+            part.ms = (time.perf_counter() - start) * 1000.0
+    eligible.sort(key=lambda p: (p.td.width, p.members[0]))
+    return eligible, art.parts_ms + sum(p.ms for p in eligible)
 
 
 def _mark_histogram(rep, marks):
@@ -241,16 +274,13 @@ def solve(req):
     threshold = (req.threshold_override if req.threshold_override is not None
                  else width_threshold(k_eff, reduced.delta))
     stats["threshold"] = threshold
-    try:
-        _ensure_parts(art)
-    except ContractViolation as exc:
-        raise ContractViolation("stage decomposition: %s" % exc) from exc
+    parts = _split(art)
     timings["decomposition"] = art.parts_ms
-    stats["width"] = art.max_width
 
-    # the lower bound never exceeds the heuristic width, so it is worth
-    # computing only once the heuristic width clears the threshold
-    if not req.want_witness and art.max_width > threshold:
+    # a component of s vertices is at most s - 1 wide, and the lower bound
+    # never exceeds the width, so the bound is worth computing only once
+    # the largest component clears the threshold
+    if not req.want_witness and art.max_size - 1 > threshold:
         if art.tw_bound is None:
             scratch = {}
             bound = _staged("width_bound", scratch, treewidth_lower_bound,
@@ -263,26 +293,30 @@ def solve(req):
             stats["certified"] = req.threshold_override is None
             return SolveReport("yes", None, "shortcut", stats)
 
+    try:
+        eligible, timings["decomposition"] = _ensure_parts(art, k_eff)
+    except ContractViolation as exc:
+        raise ContractViolation("stage decomposition: %s" % exc) from exc
+    stats["width"] = max((p.td.width for p in eligible), default=0)
+
     solver = max_weight_path if req.variant == "path" else max_weight_cycle
-    runs = art.dp.setdefault((req.variant, req.engine),
-                             [None] * len(art.parts))
+    key = (req.variant, req.engine)
     hit = None
     dp_ms = 0.0
     dp_nodes = dp_total = dp_peak = considered = 0
-    for i, (width, first, sub, td, total) in enumerate(art.parts):
-        if total < k_eff:
-            continue
-        if runs[i] is None:
+    for part in eligible:
+        run = part.dp.get(key)
+        if run is None:
             dp_stats = {}
             start = time.perf_counter()
             try:
-                value, seq = solver(sub, decomposition=td, engine=req.engine,
-                                    stats=dp_stats)
+                value, seq = solver(part.sub, decomposition=part.td,
+                                    engine=req.engine, stats=dp_stats)
             except ContractViolation as exc:
                 raise ContractViolation("stage dp: %s" % exc) from exc
-            runs[i] = (value, seq, dp_stats,
-                       (time.perf_counter() - start) * 1000.0)
-        value, seq, dp_stats, spent = runs[i]
+            run = part.dp[key] = (value, seq, dp_stats,
+                                  (time.perf_counter() - start) * 1000.0)
+        value, seq, dp_stats, spent = run
         considered += 1
         dp_ms += spent
         dp_nodes += dp_stats.get("dp_nodes", 0)
@@ -295,7 +329,7 @@ def solve(req):
     stats["dp_nodes"] = dp_nodes
     stats["dp_total_states"] = dp_total
     stats["dp_peak_states"] = dp_peak
-    stats["dp_components"] = len(art.parts)
+    stats["dp_components"] = len(parts)
     stats["dp_considered"] = considered
 
     if hit is None:

@@ -32,3 +32,21 @@ def random_bitmask_graph(rng, n, p):
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
     return masks
+
+
+def components(vertices, adj):
+    """Connected components (as sets) of the graph given by an adjacency map."""
+    seen = set()
+    out = []
+    for start in vertices:
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        out.append(comp)
+    return out

@@ -103,11 +103,25 @@ def test_solve_json_schema(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert list(doc) == ["answer", "branch", "k", "variant", "n", "m",
-                         "delta", "width", "witness", "timings"]
+                         "delta", "width", "certified", "witness", "timings"]
     assert doc["answer"] == "yes"
+    assert doc["certified"] is True
     # the solver reports its best path whole, not cut down to k
     assert doc["witness"] == [0, 1, 2, 3, 4]
     assert all(isinstance(v, float) for v in doc["timings"].values())
+
+
+def test_solve_json_labels_forced_shortcut(tmp_path, capsys):
+    inst = gen_file(tmp_path, ["--kind", "chain", "--n", "5"])
+    capsys.readouterr()
+    code, out, _ = run(["solve", str(inst), "--k", "3", "--tw-threshold",
+                        "0", "--json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["answer"] == "yes"
+    assert doc["branch"] == "shortcut"
+    assert doc["certified"] is False
+    assert "witness" not in doc
 
 
 def test_solve_json_deterministic_modulo_timings(tmp_path, capsys):

@@ -19,6 +19,8 @@ from diskpath.decomposition import (
 from diskpath.errors import ContractViolation, InputError, SizeCapExceeded
 from diskpath.reduction import WeightedGraph
 
+from helpers import components, random_instance
+
 
 def wg(n, edges):
     return WeightedGraph(range(n), {}, edges)
@@ -207,3 +209,48 @@ def test_decomposition_deterministic():
     a = heuristic_decomposition(g)
     b = heuristic_decomposition(g)
     assert a.bags == b.bags and a.tree_edges == b.tree_edges
+
+
+def _reference_decomposition(g):
+    """Both elimination games replayed in full; the narrower wins, ties go
+    to min-degree."""
+    best = decomposition_from_order(g, min_degree_order(g))
+    other = decomposition_from_order(g, min_fill_order(g))
+    return other if other.width < best.width else best
+
+
+def _grid_graph(rows, cols):
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges.append((v, v + 1))
+            if r + 1 < rows:
+                edges.append((v, v + cols))
+    return wg(rows * cols, edges)
+
+
+def _udg_components(seed, n, box):
+    _, graph, _ = random_instance(seed, n, box)
+    return [WeightedGraph(comp, {}, [(u, v) for u in comp
+                                     for v in graph.adj[u] if u < v])
+            for comp in components(range(graph.n), graph.adj)]
+
+
+def test_heuristic_matches_replayed_reference():
+    rng = random.Random(404)
+    graphs = [random_graph(rng, rng.randint(1, 30), rng.uniform(0.05, 0.6))
+              for _ in range(80)]
+    graphs += [_grid_graph(r, c) for r in range(1, 7) for c in range(r, 12)]
+    for seed in (405, 406, 407):
+        graphs += _udg_components(seed, 120, 9.0)
+    fill_won = 0
+    for g in graphs:
+        got = heuristic_decomposition(g)
+        want = _reference_decomposition(g)
+        assert got.bags == want.bags
+        assert got.tree_edges == want.tree_edges
+        fill_won += got.width < decomposition_from_order(
+            g, min_degree_order(g)).width
+    assert fill_won > 0

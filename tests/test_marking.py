@@ -110,6 +110,33 @@ def test_raising_budgets_never_unmarks():
                 assert small.mark_star[cell] <= bigger.mark_star[cell]
 
 
+def test_phase_two_marks_match_direct_reference():
+    # Mark* is the Phase-I endpoints plus, for every Phase-I vertex v and
+    # every occupied cell c2 within Chebyshev distance 2 of v's cell, the
+    # first q2 neighbours of v in c2 in ascending id.
+    budgets = MarkingBudgets(3, 2)
+    _, graph, rep = random_instance(6100, 90, 6.0)
+    marks = run_marking(graph, rep, budgets)
+    phase1 = {cell: set() for cell in rep.cells}
+    for (c1, c2), matching in marks.mark1_pairs.items():
+        for u, v in matching:
+            phase1[c1].add(u)
+            phase1[c2].add(v)
+    want = {cell: set(vs) for cell, vs in phase1.items()}
+    truncated = 0
+    for c1, vs in phase1.items():
+        near = [c2 for c2 in rep.cells if c2 != c1
+                and max(abs(c2[0] - c1[0]), abs(c2[1] - c1[1])) <= 2]
+        for v in vs:
+            for c2 in near:
+                inside = sorted(w for w in graph.adj[v]
+                                if rep.cell_of[w] == c2)
+                truncated += len(inside) > budgets.q2
+                want[c2].update(inside[:budgets.q2])
+    assert truncated > 0
+    assert {cell: set(s) for cell, s in marks.mark_star.items()} == want
+
+
 def test_classify_edge_all_three_kinds():
     # 0 and 1 share a cell; 2 sits one cell to the right, adjacent to both.
     # Budgets (1, 1): Phase I matches (0, 2); Phase II marks 0 from 2 again,

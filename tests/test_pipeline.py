@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from diskpath import oracle
+from diskpath import oracle, pipeline
 from diskpath.errors import InputError
-from diskpath.geometry import DiskSet, build_udg
-from diskpath.marking import MarkingBudgets
+from diskpath.geometry import DiskSet, build_clique_grid, build_udg
+from diskpath.marking import MarkingBudgets, run_marking
 from diskpath.pipeline import SolveRequest, solve
+from diskpath.reduction import build_reduced
 
-from helpers import chain_points, random_instance
+from helpers import chain_points, components, random_instance
 
 
 def ask(disks, k, variant="path", **kw):
@@ -171,3 +172,57 @@ def test_budgets_are_honored():
     total = lambda h: sum(size * count for size, count in h.items())
     assert total(tight.stats["mark_histogram"]) <= \
         total(default.stats["mark_histogram"])
+
+
+def _reduced_components(disks):
+    """Vertex tuple -> total weight for each component of the reduced graph."""
+    graph = build_udg(disks)
+    rep = build_clique_grid(disks, graph)
+    reduced = build_reduced(graph, rep, run_marking(graph, rep))
+    return {tuple(sorted(comp)): sum(reduced.weights[v] for v in comp)
+            for comp in components(reduced.vertices, reduced.adj)}
+
+
+def test_decomposes_only_components_that_can_hold_k(monkeypatch):
+    monkeypatch.setattr(pipeline, "_artifact_cache", {})
+    calls = []
+    real = pipeline.heuristic_decomposition
+
+    def counting(graph):
+        calls.append(graph.vertices)
+        return real(graph)
+
+    monkeypatch.setattr(pipeline, "heuristic_decomposition", counting)
+    # a 7-disk chain, a triangle, a pair and a lone disk, far apart
+    pts = chain_points(7)
+    pts += [(40.0, 0.0), (41.2, 0.3), (40.5, 1.1)]
+    pts += [(80.0, 0.0), (81.5, 0.0)]
+    pts += [(120.0, 0.0)]
+    disks = DiskSet(pts)
+    totals = _reduced_components(disks)
+    assert sorted(totals.values()) == [1, 2, 3, 7]
+    graph = build_udg(disks)
+    plen, _ = oracle.longest_path_bruteforce(graph)
+    clen, _ = oracle.longest_cycle_bruteforce(graph)
+
+    # a k sweep from the top: each request may decompose only components
+    # whose weight can hold its target, and none is decomposed twice
+    widths = {}
+    for k in range(9, 0, -1):
+        for variant in ("cycle", "path"):
+            before = len(calls)
+            report = ask(disks, k, variant)
+            widths[k, variant] = report.stats["width"]
+            k_eff = report.stats["k_effective"]
+            for verts in calls[before:]:
+                assert totals[verts] >= k_eff, (k, variant, verts)
+            best = plen if variant == "path" else clen or 0
+            assert report.answer == ("yes" if best >= k_eff else "no")
+        if k >= 8:
+            assert calls == []
+    assert len(calls) == len(set(calls))
+    assert set(calls) == set(totals)
+    # the reported width does not depend on what earlier requests built
+    for (k, variant), width in widths.items():
+        assert ask(disks, k, variant).stats["width"] == width, (k, variant)
+    assert widths[7, "path"] == 1
