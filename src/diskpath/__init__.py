@@ -1,8 +1,8 @@
 """Exact Long Path / Long Cycle solver for unit disk graphs.
 
 Pipeline: clique-grid representation -> two-phase marking -> weighted
-reduction -> tree-decomposition dynamic programming, verified at desk scale
-by brute-force oracles.
+reduction -> greedy witness walk -> tree-decomposition dynamic programming,
+verified at desk scale by brute-force oracles.
 """
 
 __version__ = "0.1.0"

@@ -463,8 +463,6 @@ def _assemble(graph, verts, edges, variant, value):
                     raise AssertionError("path witness is not a simple chain")
                 prev = seq[-1]
                 seq.append(nxt[0])
-            if seq[0] > seq[-1]:
-                seq.reverse()
     else:
         start = min(verts)
         if len(adj[start]) != 2:
@@ -479,6 +477,7 @@ def _assemble(graph, verts, edges, variant, value):
             raise AssertionError("cycle witness does not close")
         if len(seq) < 3:
             raise AssertionError("cycle witness shorter than three vertices")
+    seq = orient_witness(seq, variant)
     seen = set()
     for v in seq:
         if v in seen:
@@ -578,13 +577,21 @@ def _solve(graph, variant, decomposition, engine, stats):
         frames = [(lc, len(tables[lc]) - 1, sa),
                   (rc, len(tables[rc]) - 1, sb)]
         verts, edges = _replay(tables, nice, assigned, frames, [])
-    seq = _assemble(graph, verts, edges, variant, value)
+    return value, _assemble(graph, verts, edges, variant, value)
+
+
+def orient_witness(seq, variant):
+    """The one orientation every witness is reported in: a path runs from
+    its smaller end, a cycle starts at its smallest vertex and takes the
+    lexicographically smaller of its two directions."""
+    if variant == "path":
+        return seq if seq[0] <= seq[-1] else seq[::-1]
     i = seq.index(min(seq))
     fwd = seq[i:] + seq[:i]
-    rev = list(reversed(seq))
+    rev = seq[::-1]
     i = rev.index(min(seq))
     bwd = rev[i:] + rev[:i]
-    return value, (fwd if fwd <= bwd else bwd)
+    return fwd if fwd <= bwd else bwd
 
 
 def max_weight_path(graph, decomposition=None, engine="matching", stats=None):

@@ -60,42 +60,32 @@ class MarkingResult:
         return tuple(v for v in self.rep.members(cell) if not self._marked[v])
 
 
-def _near_cells(cell, occupied):
-    """Occupied cells within Chebyshev distance 2 of cell, excluding itself."""
-    i, j = cell
-    out = []
-    for di in (-2, -1, 0, 1, 2):
-        for dj in (-2, -1, 0, 1, 2):
-            if di == 0 and dj == 0:
-                continue
-            other = (i + di, j + dj)
-            if other in occupied:
-                out.append(other)
-    out.sort()
-    return out
-
-
 def run_marking(graph, rep, budgets=MarkingBudgets()):
-    """Run both phases; returns the MarkingResult for (graph, rep)."""
+    """Run both phases; returns the MarkingResult for (graph, rep).
+
+    Each scan groups a vertex's neighbours by cell once, keeping only the
+    other cells within Chebyshev distance 2 of its own (the clique grid
+    puts every edge within that distance).
+    """
     occupied = rep.cells
     cell_of = rep.cell_of
     mark1_pairs = {}
     mark1_by_cell = {cell: set() for cell in occupied}
-    near = {cell: _near_cells(cell, occupied) for cell in occupied}
 
     for c1 in occupied:  # dict is sorted row-major at construction
-        for c2 in near[c1]:
-            if c2 < c1:
-                continue  # each unordered pair once
-            cross = []
-            for u in occupied[c1]:
-                for v in graph.adj[u]:
-                    if cell_of[v] == c2:
-                        cross.append((u, v) if u < v else (v, u))
-            cross.sort()
+        i, j = c1
+        cross_by_cell = {}
+        for u in occupied[c1]:
+            for v in graph.adj[u]:
+                c2 = cell_of[v]
+                # c2 > c1 takes each unordered pair once
+                if c2 > c1 and abs(c2[0] - i) <= 2 and abs(c2[1] - j) <= 2:
+                    cross_by_cell.setdefault(c2, []).append(
+                        (u, v) if u < v else (v, u))
+        for c2 in sorted(cross_by_cell):
             used = set()
             matching = []
-            for a, b in cross:
+            for a, b in sorted(cross_by_cell[c2]):
                 if a in used or b in used:
                     continue
                 used.add(a)
@@ -106,20 +96,19 @@ def run_marking(graph, rep, budgets=MarkingBudgets()):
                 mark1_by_cell[c2].add(v)
                 if len(matching) == budgets.q1:
                     break
-            if matching:
-                mark1_pairs[(c1, c2)] = tuple(matching)
+            mark1_pairs[(c1, c2)] = tuple(matching)
 
     mark2_by_cell = {cell: set() for cell in occupied}
     for c1 in occupied:
-        for v in sorted(mark1_by_cell[c1]):
-            for c2 in near[c1]:
-                picked = 0
-                for w in graph.adj[v]:  # ascending ids
-                    if cell_of[w] == c2:
-                        mark2_by_cell[c2].add(w)
-                        picked += 1
-                        if picked == budgets.q2:
-                            break
+        i, j = c1
+        for v in mark1_by_cell[c1]:
+            by_cell = {}
+            for w in graph.adj[v]:  # ascending ids, so each bucket is too
+                c2 = cell_of[w]
+                if c2 != c1 and abs(c2[0] - i) <= 2 and abs(c2[1] - j) <= 2:
+                    by_cell.setdefault(c2, []).append(w)
+            for c2, ws in by_cell.items():
+                mark2_by_cell[c2].update(ws[:budgets.q2])
 
     mark_star = {
         cell: frozenset(mark1_by_cell[cell] | mark2_by_cell[cell])

@@ -1,12 +1,16 @@
 """End-to-end solver: disks in, Yes/No (and optionally a witness) out.
 
-The stages run in the fixed order grid, marking, reduction, width branch,
-dynamic program; every report carries per-stage timings and the structural
-statistics of the intermediate artifacts.  The width shortcut answers Yes
-without a witness when a treewidth lower bound of the reduced graph clears
-the threshold, so it is skipped when a witness was requested; with the
-theoretical threshold it never fires at desk scale, and runs that override
-the threshold are labeled non-certified.
+The stages run in the fixed order grid, marking, reduction, clique-cell
+check (cycles), witness walk, width branch, decomposition, dynamic program;
+every report carries per-stage timings and the structural statistics of the
+intermediate artifacts.  The witness walk (see `witness`) answers Yes with
+a validated greedy path or cycle on the reduced graph before anything is
+decomposed; on a miss the stages after it run exactly as they would without
+it, so every No comes from the dynamic program.  The width shortcut answers
+Yes without a witness when a treewidth lower bound of the reduced graph
+clears the threshold, so it is skipped when a witness was requested; with
+the theoretical threshold it never fires at desk scale, and runs that
+override the threshold are labeled non-certified.
 
 One correction to the literal reduction for the cycle variant: a cycle
 confined to a single cell can project below three vertices in the reduced
@@ -18,10 +22,12 @@ past the target comparison depends on k: the geometry, marking, reduction,
 components, decompositions, width bound and the dynamic program are
 functions of the disks, the budgets and the engine alone.  A small keyed
 store therefore lets a sweep pay for each artifact once.  Decomposition is
-per component and on demand: a request decomposes only the components whose
-total weight can hold its target, and each decomposition is kept for later
-requests on the same disks.  Stage timings are stored next to the artifact
-and repeated verbatim on reuse; they price the artifact, not the lookup.
+per component and on demand: a request that the witness walk did not answer
+decomposes only the components whose total weight can hold its target, and
+each decomposition is kept for later requests on the same disks.  The walk
+itself is cheap and is not kept.  Stage timings are stored next to the
+artifact and repeated verbatim on reuse; they price the artifact, not the
+lookup.
 """
 
 import time
@@ -33,11 +39,12 @@ from .decomposition import (
     treewidth_lower_bound,
     width_threshold,
 )
-from .dpsolver import max_weight_cycle, max_weight_path
+from .dpsolver import max_weight_cycle, max_weight_path, orient_witness
 from .errors import ContractViolation, InputError
 from .geometry import build_clique_grid, build_udg
 from .marking import MarkingBudgets, run_marking, validate_sequence
 from .reduction import WeightedGraph, build_reduced, lift_solution
+from .witness import long_walk
 
 _CACHE_CAP = 8
 _artifact_cache = {}
@@ -276,6 +283,30 @@ def solve(req):
     stats["threshold"] = threshold
     parts = _split(art)
     timings["decomposition"] = art.parts_ms
+
+    # a validated greedy walk is a sound Yes at any width; on a miss the
+    # exact pipeline below runs exactly as if it had not been tried
+    start = time.perf_counter()
+    walk = None
+    for part in parts:
+        if part.total >= k_eff:
+            walk = long_walk(reduced.adj, reduced.weights, part.members,
+                             req.variant, k_eff)
+            if walk is not None:
+                break
+    witness = None
+    if walk is not None:
+        try:
+            lifted = lift_solution(orient_witness(walk, req.variant), reduced,
+                                   req.variant)
+        except ContractViolation as exc:
+            raise ContractViolation("stage witness: %s" % exc) from exc
+        witness = _checked_witness(graph, lifted, req.variant, k_eff,
+                                   "witness")
+    timings["witness"] = (time.perf_counter() - start) * 1000.0
+    if witness is not None:
+        return SolveReport("yes", witness if req.want_witness else None,
+                           "witness", stats)
 
     # a component of s vertices is at most s - 1 wide, and the lower bound
     # never exceeds the width, so the bound is worth computing only once

@@ -70,7 +70,7 @@ def test_lattice_and_cluster_kinds_have_n_points():
     assert len(generate(GeneratorSpec(kind="clusters", n=11, seed=4))) == 11
 
 
-def test_solve_exit_codes_and_key_value_line(tmp_path, capsys):
+def test_solve_exit_codes_and_key_value_line(tmp_path, capsys, no_walk):
     inst = gen_file(tmp_path, ["--kind", "chain", "--n", "6"])
     capsys.readouterr()
     code, out, _ = run(["solve", str(inst), "--k", "6"], capsys)
@@ -111,7 +111,20 @@ def test_solve_json_schema(tmp_path, capsys):
     assert all(isinstance(v, float) for v in doc["timings"].values())
 
 
-def test_solve_json_labels_forced_shortcut(tmp_path, capsys):
+def test_solve_json_reports_witness_branch(tmp_path, capsys):
+    inst = gen_file(tmp_path, ["--kind", "chain", "--n", "7"])
+    capsys.readouterr()
+    code, out, _ = run(["solve", str(inst), "--k", "3", "--witness",
+                        "--json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["branch"] == "witness"
+    assert doc["width"] is None and doc["certified"] is True
+    # the walk comes back whole, not cut at k
+    assert doc["witness"] == [0, 1, 2, 3, 4, 5, 6]
+
+
+def test_solve_json_labels_forced_shortcut(tmp_path, capsys, no_walk):
     inst = gen_file(tmp_path, ["--kind", "chain", "--n", "5"])
     capsys.readouterr()
     code, out, _ = run(["solve", str(inst), "--k", "3", "--tw-threshold",

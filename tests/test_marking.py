@@ -137,6 +137,33 @@ def test_phase_two_marks_match_direct_reference():
     assert {cell: set(s) for cell, s in marks.mark_star.items()} == want
 
 
+def test_phase_one_matchings_match_direct_reference():
+    # For every pair c1 < c2 of cells within Chebyshev distance 2, Phase I
+    # greedily matches the cross edges sorted by (min id, max id), stops at
+    # q1 edges, and stores each nonempty matching in row-major pair order.
+    budgets = MarkingBudgets(2, 2)
+    _, graph, rep = random_instance(6101, 120, 7.0)
+    marks = run_marking(graph, rep, budgets)
+    want = []
+    truncated = 0
+    for c1 in rep.cells:
+        for c2 in rep.cells:
+            if c2 <= c1 or max(abs(c2[0] - c1[0]), abs(c2[1] - c1[1])) > 2:
+                continue
+            cross = sorted((min(u, v), max(u, v)) for u in rep.members(c1)
+                           for v in rep.members(c2) if graph.has_edge(u, v))
+            used, matching = set(), []
+            for a, b in cross:
+                if a not in used and b not in used:
+                    used.update((a, b))
+                    matching.append((a, b) if rep.cell_of[a] == c1 else (b, a))
+            truncated += len(matching) > budgets.q1
+            if matching:
+                want.append(((c1, c2), tuple(matching[:budgets.q1])))
+    assert truncated > 0
+    assert list(marks.mark1_pairs.items()) == want
+
+
 def test_classify_edge_all_three_kinds():
     # 0 and 1 share a cell; 2 sits one cell to the right, adjacent to both.
     # Budgets (1, 1): Phase I matches (0, 2); Phase II marks 0 from 2 again,

@@ -42,7 +42,7 @@ def test_request_validation():
         SolveRequest(disks=disks, k=1, threshold_override=-4)
 
 
-def test_matches_oracle_everywhere():
+def _assert_matches_oracle():
     rng = random.Random(601)
     for trial in range(60):
         n = rng.randint(1, 10)
@@ -55,6 +55,15 @@ def test_matches_oracle_everywhere():
             assert ask(disks, k).answer == want, (trial, k, "path")
             want = "yes" if clen is not None and clen >= max(k, 3) else "no"
             assert ask(disks, k, "cycle").answer == want, (trial, k, "cycle")
+
+
+def test_matches_oracle_everywhere():
+    _assert_matches_oracle()
+
+
+def test_matches_oracle_everywhere_without_walk(no_walk):
+    # every request reaches the dynamic program
+    _assert_matches_oracle()
 
 
 def test_witnesses_validate_and_meet_k():
@@ -120,7 +129,7 @@ def test_cycle_floor_for_tiny_k():
     assert report.stats["k_effective"] == 3
 
 
-def test_shortcut_override_is_labeled():
+def test_shortcut_override_is_labeled(no_walk):
     disks = DiskSet(chain_points(6))
     report = ask(disks, 3, threshold_override=0)
     assert report.answer == "yes"
@@ -133,14 +142,14 @@ def test_shortcut_override_is_labeled():
     assert report.witness is not None
 
 
-def test_default_threshold_never_fires_at_desk_scale():
+def test_default_threshold_never_fires_at_desk_scale(no_walk):
     disks = DiskSet(chain_points(8))
     report = ask(disks, 4)
     assert report.branch == "dp"
     assert report.stats["threshold"] >= 142
 
 
-def test_report_stats_shape():
+def test_report_stats_shape(no_walk):
     disks, _, _ = random_instance(605, 9, box=3.0)
     report = ask(disks, 3)
     stats = report.stats
@@ -152,7 +161,8 @@ def test_report_stats_shape():
                   "decomposition", "dp"):
         assert stage in stats["timings"], stage
     assert sum(stats["mark_histogram"].values()) == len(
-        build_udg(disks).adj) and stats["width"] >= 0 or True
+        build_clique_grid(disks, build_udg(disks)).cells)
+    assert stats["width"] >= 0
 
 
 def test_determinism_modulo_timings():
@@ -183,7 +193,9 @@ def _reduced_components(disks):
             for comp in components(reduced.vertices, reduced.adj)}
 
 
-def test_decomposes_only_components_that_can_hold_k(monkeypatch):
+def _count_decompositions(monkeypatch):
+    """Empty the artifact cache and record the vertex set of every
+    decomposition the pipeline builds from now on."""
     monkeypatch.setattr(pipeline, "_artifact_cache", {})
     calls = []
     real = pipeline.heuristic_decomposition
@@ -193,6 +205,11 @@ def test_decomposes_only_components_that_can_hold_k(monkeypatch):
         return real(graph)
 
     monkeypatch.setattr(pipeline, "heuristic_decomposition", counting)
+    return calls
+
+
+def test_decomposes_only_components_that_can_hold_k(monkeypatch, no_walk):
+    calls = _count_decompositions(monkeypatch)
     # a 7-disk chain, a triangle, a pair and a lone disk, far apart
     pts = chain_points(7)
     pts += [(40.0, 0.0), (41.2, 0.3), (40.5, 1.1)]
@@ -226,3 +243,23 @@ def test_decomposes_only_components_that_can_hold_k(monkeypatch):
     for (k, variant), width in widths.items():
         assert ask(disks, k, variant).stats["width"] == width, (k, variant)
     assert widths[7, "path"] == 1
+
+
+def test_witness_branch_decomposes_nothing(monkeypatch):
+    calls = _count_decompositions(monkeypatch)
+    disks, graph, _ = random_instance(609, 30, box=4.0)
+    for variant in ("path", "cycle"):
+        report = ask(disks, 12, variant, want_witness=True)
+        assert report.branch == "witness", variant
+        assert report.answer == "yes"
+        assert report.stats["width"] is None
+        assert "witness" in report.stats["timings"]
+        assert "dp" not in report.stats["timings"]
+        seq = report.witness
+        assert len(seq) >= 12 and len(set(seq)) == len(seq)
+        assert all(graph.has_edge(u, v) for u, v in zip(seq, seq[1:]))
+        if variant == "cycle":
+            assert graph.has_edge(seq[-1], seq[0])
+        # without a witness request the answer carries none
+        assert ask(disks, 12, variant).witness is None
+    assert calls == []
