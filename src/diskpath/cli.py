@@ -90,8 +90,7 @@ def _request_from_args(args, want_witness):
     return SolveRequest(disks=read_instance(args.instance), k=args.k,
                         variant=args.variant, budgets=budgets,
                         want_witness=want_witness,
-                        threshold_override=args.tw_threshold,
-                        engine=args.engine)
+                        threshold_override=args.tw_threshold)
 
 
 def _json_report(report, req):
@@ -205,8 +204,6 @@ def _build_parser():
         p.add_argument("--q1", type=int, default=MarkingBudgets().q1)
         p.add_argument("--q2", type=int, default=MarkingBudgets().q2)
         p.add_argument("--tw-threshold", type=int, default=None)
-        p.add_argument("--engine", choices=("matching", "rankbased"),
-                       default="matching")
 
     sol = sub.add_parser("solve", help="run the solver on an instance file")
     solver_flags(sol)

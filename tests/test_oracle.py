@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from diskpath.errors import InputError, SizeCapExceeded
 from diskpath.geometry import DiskSet, UnitDiskGraph, build_clique_grid, build_udg
+from diskpath.kernels import good_solution_search
 from diskpath.marking import MarkingBudgets, MarkingResult, run_marking
 from diskpath.oracle import (
     EnumerationLimits,
@@ -26,7 +27,7 @@ from diskpath.oracle import (
     max_weight_path_bruteforce,
     two_oracle_agreement,
 )
-from helpers import random_instance
+from helpers import random_bitmask_graph, random_instance
 
 
 class _Weighted:
@@ -85,6 +86,10 @@ def test_size_caps_are_enforced():
     marks = run_marking(graph, rep)
     with pytest.raises(SizeCapExceeded):
         check_good_cell_existence(graph, rep, marks, 3, "path")
+    # the good-cell search reports a tripped node cap as status -1
+    masks = random_bitmask_graph(random.Random(105), 9, 0.9)
+    assert good_solution_search(masks, [0] * 9, [1] * 9, [0], 9, 0, 3) == \
+        (-1, None)
     # limits themselves refuse caps beyond the representable range
     with pytest.raises(InputError):
         EnumerationLimits(max_n=17)

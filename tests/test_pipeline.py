@@ -37,8 +37,6 @@ def test_request_validation():
     with pytest.raises(InputError):
         SolveRequest(disks=disks, k=1, variant="tour")
     with pytest.raises(InputError):
-        SolveRequest(disks=disks, k=1, engine="quick")
-    with pytest.raises(InputError):
         SolveRequest(disks=disks, k=1, threshold_override=-4)
 
 
