@@ -25,9 +25,12 @@ class DiskSet:
     def __init__(self, points):
         pts = []
         for idx, point in enumerate(points):
-            x, y = point
-            x = float(x)
-            y = float(y)
+            try:
+                x, y = point
+                x = float(x)
+                y = float(y)
+            except (TypeError, ValueError, OverflowError):
+                raise InputError("point %d is not two numbers" % idx) from None
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise InputError("non-finite coordinate at point %d" % idx)
             pts.append((x, y))

@@ -17,17 +17,10 @@ confined to a single cell can project below three vertices in the reduced
 graph, so cells large enough to contain a k-vertex cycle outright (cells
 are cliques) are answered before the reduced graph is consulted.
 
-Scanning k over one disk set is the common calling pattern, and nothing
-past the target comparison depends on k: the geometry, marking, reduction,
-components, decompositions, width bound and the dynamic program are
-functions of the disks and the budgets alone.  A small keyed store
-therefore lets a sweep pay for each artifact once.  Decomposition is
-per component and on demand: a request that the witness walk did not answer
-decomposes only the components whose total weight can hold its target, and
-each decomposition is kept for later requests on the same disks.  The walk
-itself is cheap and is not kept.  Stage timings are stored next to the
-artifact and repeated verbatim on reuse; they price the artifact, not the
-lookup.
+`solve` keeps nothing between calls: every request builds its own
+artifacts and times its own stages.  Decomposition is per component and
+on demand: a request that the witness walk did not answer decomposes only
+the components whose total weight can hold its target.
 """
 
 import time
@@ -41,18 +34,15 @@ from .decomposition import (
 )
 from .dpsolver import max_weight_cycle, max_weight_path, orient_witness
 from .errors import ContractViolation, InputError
-from .geometry import build_clique_grid, build_udg
+from .geometry import DiskSet, build_clique_grid, build_udg
 from .marking import MarkingBudgets, run_marking, validate_sequence
 from .reduction import WeightedGraph, build_reduced, lift_solution
 from .witness import long_walk
 
-_CACHE_CAP = 8
-_artifact_cache = {}
-
 
 @dataclass(frozen=True)
 class SolveRequest:
-    disks: object
+    disks: DiskSet
     k: int
     variant: str = "path"
     budgets: MarkingBudgets = field(default_factory=MarkingBudgets)
@@ -60,6 +50,9 @@ class SolveRequest:
     threshold_override: Optional[int] = None
 
     def __post_init__(self):
+        if not isinstance(self.disks, DiskSet):
+            raise InputError("disks must be a DiskSet, not %s"
+                             % type(self.disks).__name__)
         if not isinstance(self.k, int) or self.k < 1:
             raise InputError("k must be a positive integer")
         if self.variant not in ("path", "cycle"):
@@ -85,39 +78,6 @@ class SolveReport:
         return self.answer == "yes"
 
 
-class _Artifacts:
-    """Products of one disk set that no request parameter can change."""
-
-    __slots__ = ("graph", "rep", "marks", "reduced", "timings",
-                 "tw_bound", "parts", "parts_ms", "max_size")
-
-    def __init__(self, graph, rep, marks, reduced, timings):
-        self.graph = graph
-        self.rep = rep
-        self.marks = marks
-        self.reduced = reduced
-        self.timings = timings
-        self.tw_bound = None
-        self.parts = None
-        self.parts_ms = 0.0
-        self.max_size = 0
-
-
-class _Part:
-    """One component of the reduced graph; the subgraph, its decomposition
-    and the dynamic programs run on it are built on first use and kept."""
-
-    __slots__ = ("members", "total", "sub", "td", "ms", "dp")
-
-    def __init__(self, members, total):
-        self.members = members
-        self.total = total
-        self.sub = None
-        self.td = None
-        self.ms = 0.0
-        self.dp = {}
-
-
 def _staged(name, timings, fn, *args, **kwargs):
     start = time.perf_counter()
     try:
@@ -126,23 +86,6 @@ def _staged(name, timings, fn, *args, **kwargs):
         raise ContractViolation("stage %s: %s" % (name, exc)) from exc
     timings[name] = (time.perf_counter() - start) * 1000.0
     return result
-
-
-def _artifacts(disks, budgets):
-    key = (disks.points, budgets)
-    art = _artifact_cache.get(key)
-    if art is None:
-        timings = {}
-        graph = _staged("build_udg", timings, build_udg, disks)
-        rep = _staged("clique_grid", timings, build_clique_grid, disks, graph)
-        marks = _staged("marking", timings, run_marking, graph, rep, budgets)
-        reduced = _staged("reduction", timings, build_reduced, graph, rep,
-                          marks)
-        art = _Artifacts(graph, rep, marks, reduced, timings)
-        if len(_artifact_cache) >= _CACHE_CAP:
-            _artifact_cache.pop(next(iter(_artifact_cache)))
-        _artifact_cache[key] = art
-    return art
 
 
 def _components(reduced):
@@ -178,42 +121,22 @@ def _subgraph(reduced, comp):
     return WeightedGraph(comp, weights, edges, aggregates, back_map)
 
 
-def _split(art):
-    """The components of the reduced graph with their total weights.
-
-    Both are cheap and independent of k, so they are computed once per disk
-    set; the largest component size bounds every width from above.
-    """
-    if art.parts is None:
-        start = time.perf_counter()
-        weights = art.reduced.weights
-        art.parts = [_Part(comp, sum(weights[v] for v in comp))
-                     for comp in _components(art.reduced)]
-        art.max_size = max((len(p.members) for p in art.parts), default=0)
-        art.parts_ms = (time.perf_counter() - start) * 1000.0
-    return art.parts
-
-
-def _ensure_parts(art, k_eff):
-    """The components that can hold k_eff, decomposed, narrowest first.
+def _decomposed(reduced, comps, k_eff):
+    """(subgraph, decomposition) for each component that can hold k_eff,
+    narrowest first.
 
     A long path or cycle lives inside one component, so the solver can
     take the components one at a time and stop at the first that clears
     the target; ordering by width tries the cheap dynamic programs first.
-    Decomposition is per component and on demand: a component is
-    decomposed the first time a request's target fits in its total weight,
-    and the result is kept for every later request on the same disks.
-    Returns the eligible parts and the ms their artifacts cost.
+    Components too light for the target are never decomposed.
     """
-    eligible = [p for p in _split(art) if p.total >= k_eff]
-    for part in eligible:
-        if part.td is None:
-            start = time.perf_counter()
-            part.sub = _subgraph(art.reduced, part.members)
-            part.td = heuristic_decomposition(part.sub)
-            part.ms = (time.perf_counter() - start) * 1000.0
-    eligible.sort(key=lambda p: (p.td.width, p.members[0]))
-    return eligible, art.parts_ms + sum(p.ms for p in eligible)
+    parts = []
+    for members, total in comps:
+        if total >= k_eff:
+            sub = _subgraph(reduced, members)
+            parts.append((sub, heuristic_decomposition(sub)))
+    parts.sort(key=lambda part: (part[1].width, part[0].vertices[0]))
+    return parts
 
 
 def _mark_histogram(rep, marks):
@@ -239,9 +162,11 @@ def _checked_witness(graph, seq, variant, k_eff, stage):
 def solve(req):
     """Run the whole pipeline on one request and report the outcome."""
     k_eff = req.k_effective
-    art = _artifacts(req.disks, req.budgets)
-    graph, rep, reduced = art.graph, art.rep, art.reduced
-    timings = dict(art.timings)
+    timings = {}
+    graph = _staged("build_udg", timings, build_udg, req.disks)
+    rep = _staged("clique_grid", timings, build_clique_grid, req.disks, graph)
+    marks = _staged("marking", timings, run_marking, graph, rep, req.budgets)
+    reduced = _staged("reduction", timings, build_reduced, graph, rep, marks)
     stats = {
         "n": graph.n,
         "m": graph.m,
@@ -251,7 +176,7 @@ def solve(req):
         "reduced_n": reduced.n,
         "reduced_m": reduced.m(),
         "delta": reduced.delta,
-        "mark_histogram": _mark_histogram(rep, art.marks),
+        "mark_histogram": _mark_histogram(rep, marks),
         "width": None,
         "certified": True,
         "timings": timings,
@@ -278,17 +203,21 @@ def solve(req):
     threshold = (req.threshold_override if req.threshold_override is not None
                  else width_threshold(k_eff, reduced.delta))
     stats["threshold"] = threshold
-    parts = _split(art)
-    timings["decomposition"] = art.parts_ms
+    # the components and their total weights are charged to decomposition
+    start = time.perf_counter()
+    weights = reduced.weights
+    comps = [(members, sum(weights[v] for v in members))
+             for members in _components(reduced)]
+    split_ms = (time.perf_counter() - start) * 1000.0
+    timings["decomposition"] = split_ms
 
     # a validated greedy walk is a sound Yes at any width; on a miss the
     # exact pipeline below runs exactly as if it had not been tried
     start = time.perf_counter()
     walk = None
-    for part in parts:
-        if part.total >= k_eff:
-            walk = long_walk(reduced.adj, reduced.weights, part.members,
-                             req.variant, k_eff)
+    for members, total in comps:
+        if total >= k_eff:
+            walk = long_walk(reduced.adj, weights, members, req.variant, k_eff)
             if walk is not None:
                 break
     witness = None
@@ -308,44 +237,32 @@ def solve(req):
     # a component of s vertices is at most s - 1 wide, and the lower bound
     # never exceeds the width, so the bound is worth computing only once
     # the largest component clears the threshold
-    if not req.want_witness and art.max_size - 1 > threshold:
-        if art.tw_bound is None:
-            scratch = {}
-            bound = _staged("width_bound", scratch, treewidth_lower_bound,
-                            reduced)
-            art.tw_bound = (bound, scratch["width_bound"])
-        bound, spent = art.tw_bound
-        timings["width_bound"] = spent
+    max_size = max((len(members) for members, _ in comps), default=0)
+    if not req.want_witness and max_size - 1 > threshold:
+        bound = _staged("width_bound", timings, treewidth_lower_bound, reduced)
         stats["tw_lower_bound"] = bound
         if bound > threshold:
             stats["certified"] = req.threshold_override is None
             return SolveReport("yes", None, "shortcut", stats)
 
-    try:
-        eligible, timings["decomposition"] = _ensure_parts(art, k_eff)
-    except ContractViolation as exc:
-        raise ContractViolation("stage decomposition: %s" % exc) from exc
-    stats["width"] = max((p.td.width for p in eligible), default=0)
+    parts = _staged("decomposition", timings, _decomposed, reduced, comps,
+                    k_eff)
+    timings["decomposition"] += split_ms
+    stats["width"] = max((td.width for _, td in parts), default=0)
 
     solver = max_weight_path if req.variant == "path" else max_weight_cycle
     hit = None
     dp_ms = 0.0
     dp_nodes = dp_total = dp_peak = considered = 0
-    for part in eligible:
-        run = part.dp.get(req.variant)
-        if run is None:
-            dp_stats = {}
-            start = time.perf_counter()
-            try:
-                value, seq = solver(part.sub, decomposition=part.td,
-                                    stats=dp_stats)
-            except ContractViolation as exc:
-                raise ContractViolation("stage dp: %s" % exc) from exc
-            run = part.dp[req.variant] = (value, seq, dp_stats,
-                                  (time.perf_counter() - start) * 1000.0)
-        value, seq, dp_stats, spent = run
+    for sub, td in parts:
+        dp_stats = {}
+        start = time.perf_counter()
+        try:
+            value, seq = solver(sub, decomposition=td, stats=dp_stats)
+        except ContractViolation as exc:
+            raise ContractViolation("stage dp: %s" % exc) from exc
         considered += 1
-        dp_ms += spent
+        dp_ms += (time.perf_counter() - start) * 1000.0
         dp_nodes += dp_stats.get("dp_nodes", 0)
         dp_total += dp_stats.get("dp_total_states", 0)
         dp_peak = max(dp_peak, dp_stats.get("dp_peak_states", 0))
@@ -356,7 +273,7 @@ def solve(req):
     stats["dp_nodes"] = dp_nodes
     stats["dp_total_states"] = dp_total
     stats["dp_peak_states"] = dp_peak
-    stats["dp_components"] = len(parts)
+    stats["dp_components"] = len(comps)
     stats["dp_considered"] = considered
 
     if hit is None:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import diskpath
 from diskpath.cli import GeneratorSpec, generate, main
 from diskpath.errors import InputError
 from diskpath.geometry import build_udg, parse_instance
@@ -229,13 +231,18 @@ def test_render_cycle_witness_closes_loop(tmp_path):
 
 
 def test_console_script_entry_point(tmp_path):
+    # the child imports the same diskpath as this process, installed or not
+    src = str(Path(diskpath.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     inst = tmp_path / "chain.txt"
     result = subprocess.run(
         [sys.executable, "-m", "diskpath.cli", "gen", "--kind", "chain",
          "--n", "4", "--out", str(inst)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert result.returncode == 0
     result = subprocess.run(
         [sys.executable, "-m", "diskpath.cli", "solve", str(inst),
-         "--k", "4"], capture_output=True, text=True)
+         "--k", "4"], capture_output=True, text=True, env=env)
     assert result.returncode == 0

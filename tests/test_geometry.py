@@ -81,6 +81,8 @@ def test_disk_set_input_validation():
         DiskSet([(0.0, float("nan"))])
     with pytest.raises(InputError):
         DiskSet([(float("inf"), 0.0)])
+    with pytest.raises(InputError, match="point 1 "):
+        DiskSet([(0.0, 0.0), (1, 2, 3)])
 
 
 def test_graph_accessors_are_consistent():

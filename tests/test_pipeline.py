@@ -38,6 +38,8 @@ def test_request_validation():
         SolveRequest(disks=disks, k=1, variant="tour")
     with pytest.raises(InputError):
         SolveRequest(disks=disks, k=1, threshold_override=-4)
+    with pytest.raises(InputError):
+        SolveRequest(disks=[(0.0, 0.0)], k=1)
 
 
 def _assert_matches_oracle():
@@ -163,10 +165,20 @@ def test_report_stats_shape(no_walk):
     assert stats["width"] >= 0
 
 
-def test_determinism_modulo_timings():
+def test_determinism_modulo_timings(monkeypatch):
+    # both solves build their own graph, so each times its own stages
+    built = []
+    real = pipeline.build_udg
+
+    def counting(disks):
+        built.append(disks)
+        return real(disks)
+
+    monkeypatch.setattr(pipeline, "build_udg", counting)
     disks, _, _ = random_instance(606, 10, box=4.0)
     a = ask(disks, 4, "cycle", want_witness=True)
     b = ask(disks, 4, "cycle", want_witness=True)
+    assert len(built) == 2
     sa = {k: v for k, v in a.stats.items() if k != "timings"}
     sb = {k: v for k, v in b.stats.items() if k != "timings"}
     assert (a.answer, a.branch, a.witness) == (b.answer, b.branch, b.witness)
@@ -192,9 +204,8 @@ def _reduced_components(disks):
 
 
 def _count_decompositions(monkeypatch):
-    """Empty the artifact cache and record the vertex set of every
-    decomposition the pipeline builds from now on."""
-    monkeypatch.setattr(pipeline, "_artifact_cache", {})
+    """Record the vertex set of every decomposition the pipeline builds
+    from now on."""
     calls = []
     real = pipeline.heuristic_decomposition
 
@@ -221,7 +232,7 @@ def test_decomposes_only_components_that_can_hold_k(monkeypatch, no_walk):
     clen, _ = oracle.longest_cycle_bruteforce(graph)
 
     # a k sweep from the top: each request may decompose only components
-    # whose weight can hold its target, and none is decomposed twice
+    # whose weight can hold its target, and none twice
     widths = {}
     for k in range(9, 0, -1):
         for variant in ("cycle", "path"):
@@ -229,13 +240,14 @@ def test_decomposes_only_components_that_can_hold_k(monkeypatch, no_walk):
             report = ask(disks, k, variant)
             widths[k, variant] = report.stats["width"]
             k_eff = report.stats["k_effective"]
-            for verts in calls[before:]:
+            mine = calls[before:]
+            for verts in mine:
                 assert totals[verts] >= k_eff, (k, variant, verts)
+            assert len(mine) == len(set(mine)), (k, variant)
             best = plen if variant == "path" else clen or 0
             assert report.answer == ("yes" if best >= k_eff else "no")
         if k >= 8:
             assert calls == []
-    assert len(calls) == len(set(calls))
     assert set(calls) == set(totals)
     # the reported width does not depend on what earlier requests built
     for (k, variant), width in widths.items():

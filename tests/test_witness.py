@@ -1,6 +1,5 @@
 import random
 
-from diskpath.geometry import build_clique_grid
 from diskpath.marking import MarkingBudgets, run_marking, validate_sequence
 from diskpath.reduction import build_reduced
 from diskpath.witness import long_walk
